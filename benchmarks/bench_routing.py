@@ -1,4 +1,10 @@
-"""Lemma 3: LDB routing reaches the owner in O(log n) hops w.h.p."""
+"""Lemma 3: LDB routing reaches the owner in O(log n) hops w.h.p.
+
+``mean_hops`` counts virtual nodes visited; ``mean_msgs`` counts only
+the hops that cross to another process.  A step between two virtual
+nodes of one process (the De Bruijn edge m(v) -> l(v)/r(v)) is taken
+inside that process without a message.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from conftest import run_once
 
 from repro.experiments.figures import full_scale
 from repro.experiments.tables import render_table
-from repro.overlay.ldb import LdbTopology
+from repro.overlay.ldb import LdbTopology, pid_of
 from repro.overlay.routing import route_on_topology
 from repro.util.rng import RngStreams
 
@@ -20,18 +26,22 @@ def _sweep():
     for n in sizes:
         topology = LdbTopology(list(range(n)), salt="route-bench")
         vids = topology.vids
-        hops = []
+        hops, msgs = [], []
         for _ in range(400):
             src = rng.choice(vids)
             target = rng.random()
-            dest, hop_count, _ = route_on_topology(topology, src, target)
+            dest, hop_count, path = route_on_topology(topology, src, target)
             assert dest == topology.owner_of(target)
             hops.append(hop_count)
+            msgs.append(
+                sum(pid_of(a) != pid_of(b) for a, b in zip(path, path[1:]))
+            )
         rows.append(
             {
                 "n": n,
                 "vnodes": len(topology),
                 "mean_hops": round(statistics.mean(hops), 1),
+                "mean_msgs": round(statistics.mean(msgs), 1),
                 "p99_hops": sorted(hops)[int(0.99 * len(hops))],
                 "max_hops": max(hops),
             }

@@ -853,8 +853,20 @@ class QueueNode(MembershipMixin, Actor):
         )
         if nxt is None:
             self._deliver(action, key, extra)
-        else:
-            self.send(nxt, action, (key, bits, steps, ideal, extra))
+            return
+        payload = (key, bits, steps, ideal, extra)
+        if nxt // 3 == self.pid and (action == A_RT_PUT or action == A_RT_GET):
+            # the edge to a sibling stays inside this process: hand the
+            # route state over in the same call (its own joining and
+            # detour checks still run).  The nesting is bounded by the
+            # route: a middle's step lands on l/r, never a middle, so
+            # the next step walks the cycle.  JOIN_RT and FIND_MIN stay
+            # messages (DESIGN.md, "Process-local routing steps")
+            sibling = self.ctx.runtime.actors.get(nxt)
+            if sibling is not None:
+                sibling.handle(action, payload)
+                return
+        self.send(nxt, action, payload)
 
     def _deliver(self, action: int, key: float, extra: tuple) -> None:
         if action == A_RT_PUT or action == A_RT_GET:

@@ -114,7 +114,7 @@ class HostConfig:
     owned: list[int] | None = None
     # -- crash-stop fault tolerance + ops plane (defaults keep old JSON
     #    configs loading unchanged) ------------------------------------------
-    # HTTP ops listener port (0: ephemeral, announced via SKUEUE-OPS)
+    # HTTP ops listener port (0: ephemeral, advertised in `pong` frames)
     ops_port: int = 0
     # liveness beacon period on every peer link
     heartbeat_seconds: float = 0.25
@@ -2168,10 +2168,6 @@ async def run_host(config: HostConfig, ready_prefix: str = "SKUEUE-READY") -> No
     host = NodeHost(config)
     port = await host.start()
     print(f"{ready_prefix} {config.host_index} {port}", flush=True)
-    if host.ops_port:
-        # announced *after* READY so launchers parsing only the READY
-        # line keep working; `skueue-ops` scrapes this one
-        print(f"SKUEUE-OPS {config.host_index} {host.ops_port}", flush=True)
     await host.wait_stopped()
 
 
@@ -2241,8 +2237,6 @@ async def run_joining_host(
     host = NodeHost(config)
     actual_port = await host.start()
     print(f"{ready_prefix} {config.host_index} {actual_port}", flush=True)
-    if host.ops_port:
-        print(f"SKUEUE-OPS {config.host_index} {host.ops_port}", flush=True)
     host.wire_joining(ClusterMap.from_json(reply["map"]))
     await _async_request(
         coordinator_address,

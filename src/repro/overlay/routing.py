@@ -21,7 +21,11 @@ would silently lose half a bit of precision and strand the message far
 from the target (an O(n)-hop final walk).
 
 The per-hop decision function is shared between the standalone router
-(tests, routing benchmark) and the message-level protocol.
+(tests, routing benchmark) and the message-level protocol.  A hop is a
+step between two virtual nodes, not necessarily a message: the protocol
+takes a routed PUT/GET's step between two virtual nodes of one process
+(every m(v) -> l(v)/r(v) De Bruijn edge) inside that process, so only
+hops that cross to another process cost a message.
 """
 
 from __future__ import annotations
@@ -123,7 +127,9 @@ def route_on_topology(
 
     Returns ``(destination_vid, hops, path)``.  Used by unit tests and the
     Lemma-3 benchmark; the live protocol executes exactly the same
-    :func:`route_step` decisions, one message per hop.
+    :func:`route_step` decisions.  ``hops`` counts virtual nodes visited;
+    a routed PUT/GET sends a message only for the hops in ``path`` whose
+    two ends belong to different processes.
     """
     if steps is None:
         steps = route_steps_for(len(topology))
