@@ -25,13 +25,11 @@ remain available for round-precise simulation control.
 from repro.api import Op, connect
 from repro.core.cluster import SkackCluster, SkeapCluster, SkueueCluster
 from repro.core.requests import BOTTOM
-from repro.sim.profile import EngineProfile
 
 __version__ = "1.3.0"
 
 __all__ = [
     "BOTTOM",
-    "EngineProfile",
     "Op",
     "SkackCluster",
     "SkeapCluster",

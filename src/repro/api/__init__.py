@@ -44,12 +44,10 @@ here.
 from __future__ import annotations
 
 from repro.core.structures import get_structure
-from repro.sim.profile import EngineProfile
 from repro.api.handles import OpHandle
 from repro.api.session import HeapSession, Op, QueueSession, Session, StackSession
 
 __all__ = [
-    "EngineProfile",
     "HeapSession",
     "Op",
     "OpHandle",
@@ -73,13 +71,10 @@ def connect(
     ``structure`` selects FIFO (``"queue"``), LIFO (``"stack"``) or
     constant-priority (``"heap"``, Skeap — pass ``n_priorities=`` to size
     the class count) semantics; any registered structure name is
-    accepted (see :mod:`repro.core.structures`).  Engine tuning goes
-    through ``profile=`` (an :class:`~repro.sim.profile.EngineProfile`:
-    ``safety_tick``, ``timeout_lag``, ``shuffle_delivery`` — identical
-    typing on every backend; the loose kwargs of the same names remain
-    as deprecated aliases).  Remaining kwargs are backend-specific
-    (cluster options on the simulators;
-    ``n_hosts``/``host_map``/``deployment`` and launch options on TCP).
+    accepted (see :mod:`repro.core.structures`).  Remaining kwargs are
+    backend-specific: cluster options on the simulators (e.g.
+    ``shuffle_delivery``), ``n_hosts``/``host_map``/``deployment`` and
+    launch options on TCP.
     """
     spec = get_structure(structure)
     if backend in ("sync", "async"):

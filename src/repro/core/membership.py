@@ -606,7 +606,7 @@ class MembershipMixin:
             self.runtime.remove_actor(self.aid, forward_to=self.resp_vid)
             # a parent waiting on this zombie's batch only notices the
             # removal when its child set is re-evaluated — push that
-            # re-check instead of leaving it to a (possibly absent) sweep
+            # re-check, since nothing else re-runs the parent's TIMEOUT
             self._wake_stale_parents(None)
 
     # -- splice ----------------------------------------------------------------------

@@ -186,7 +186,7 @@ class QueueNode(MembershipMixin, Actor):
     #: disagreeing parent/child views — does the origin fire without the
     #: stragglers to dissolve it.  Normal waves complete in O(log n) ≪ 48
     #: rounds, so steady state never launches a probe; expiry is armed
-    #: with ``call_later`` (event-driven), not detected by a sweep.
+    #: with ``call_later`` (event-driven).
     WAVE_PATIENCE = 48
 
     def __init__(
@@ -537,8 +537,9 @@ class QueueNode(MembershipMixin, Actor):
         state, which the waiting parent cannot observe change.  Whenever
         the batch goes somewhere (here: to ``dest``), wake the remaining
         candidates from :meth:`_parent_vid`'s fallback chain so a parent
-        stuck waiting on us re-evaluates immediately instead of at the
-        next safety sweep (there may be none: ``safety_tick=0``).
+        stuck waiting on us re-evaluates.  This wake is the only thing
+        that makes it re-evaluate: no engine re-runs TIMEOUT on a node
+        that nobody woke.
         """
         runtime = self.ctx.runtime
         kind = self.kind

@@ -53,7 +53,6 @@ def run_experiment(
     verify: bool = False,
     structure: str | None = None,
     n_priorities: int = 4,
-    profile=None,
 ) -> ExperimentResult:
     """Drive ``workload`` for ``rounds`` rounds, drain, and report.
 
@@ -79,7 +78,6 @@ def run_experiment(
         max_rounds=max_drain_rounds,
         shuffle_delivery=False,
         n_priorities=n_priorities,
-        profile=profile,
     )
     with session:
         cluster = session.cluster

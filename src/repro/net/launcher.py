@@ -49,7 +49,6 @@ from repro.net.server import (
     run_joining_host,
 )
 from repro.net.transport import WIRE_CODECS, FrameReader, encode_frame
-from repro.sim.profile import EngineProfile
 from repro.telemetry import maybe_profile, profile_env_prefix
 
 __all__ = ["NetDeployment", "launch_local", "main"]
@@ -322,11 +321,9 @@ def launch_local(
     structure: str = "queue",
     round_seconds: float = 0.01,
     timeout_lag: float = 0.004,
-    sweep_seconds: float = 0.25,
     ready_timeout: float = 30.0,
     id_slots: int = 0,
     n_priorities: int = 4,
-    profile: "EngineProfile | None" = None,
     codec: "str | list[str] | tuple[str, ...]" = "binary",
     coalesce: bool = True,
     trace_sample: float = 0.0,
@@ -351,22 +348,15 @@ def launch_local(
     (``n_hosts``) reproduces the static id scheme bit for bit, so pass
     something larger (e.g. 16) when hosts will join at runtime.
 
-    ``profile`` is the unified engine tuning surface (see
-    :class:`repro.sim.profile.EngineProfile`); its round-unit fields are
-    scaled by ``round_seconds`` into the wall-clock knobs this runtime
-    actually uses (``timeout_lag`` seconds, ``sweep_seconds`` — with
-    ``safety_tick=0`` disabling the sweep).  The loose
-    ``timeout_lag=``/``sweep_seconds=`` kwargs remain as deprecated
-    wall-clock aliases and are overridden by an explicit profile.
+    ``round_seconds`` is the wall-clock length of one protocol round and
+    ``timeout_lag`` the delay, in seconds, between a wake and the
+    TIMEOUT it schedules.
 
     ``trace_sample`` sets every host's per-op trace sampling rate (the
     telemetry plane, see DESIGN.md); ``trace_slow_ms`` keeps a flight
     ring of ops slower than the threshold, served by ``skueue-ops
     trace --slow``.  Both default off.
     """
-    if profile is not None:
-        timeout_lag = profile.timeout_lag * round_seconds
-        sweep_seconds = profile.safety_tick * round_seconds
     if n_hosts < 1:
         raise ValueError("need at least one host")
     if n_processes < n_hosts:
@@ -397,7 +387,6 @@ def launch_local(
                 structure=structure,
                 round_seconds=round_seconds,
                 timeout_lag=timeout_lag,
-                sweep_seconds=sweep_seconds,
                 epoch=epoch,
                 id_slots=id_slots,
                 n_priorities=n_priorities,
@@ -527,12 +516,6 @@ def main(argv: list[str] | None = None) -> int:
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--structure", choices=structure_names(), default="queue",
                       help="which distributed structure to deploy")
-    demo.add_argument("--safety-tick", type=float, default=None,
-                      help="rounds between safety sweeps (0 disables; "
-                           "EngineProfile units, scaled by the round length)")
-    demo.add_argument("--timeout-lag", type=float, default=None,
-                      help="TIMEOUT scheduling lag in rounds "
-                           "(EngineProfile units)")
     demo.add_argument("--codec", choices=WIRE_CODECS, default="binary",
                       help="wire codec the hosts send (frames are "
                            "self-describing, so clients may differ)")
@@ -563,14 +546,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
     if args.command == "demo":
-        profile = None
-        if args.safety_tick is not None or args.timeout_lag is not None:
-            profile = EngineProfile.merge(
-                None, safety_tick=args.safety_tick, timeout_lag=args.timeout_lag
-            )
         with launch_local(
             args.hosts, args.processes, seed=args.seed,
-            structure=args.structure, profile=profile,
+            structure=args.structure,
             codec=args.codec, coalesce=not args.no_coalesce,
         ) as deployment:
             summary = asyncio.run(_demo(deployment, args.ops, args.seed))

@@ -12,9 +12,9 @@ maps onto the event loop as follows:
   with message deliveries exactly as on :class:`AsyncRunner`;
 * ``wake`` — cross-actor readiness push: local targets get the ordinary
   TIMEOUT path, remote targets an ``A_WAKE`` message over the peer link;
-* an optional periodic *safety sweep* (``sweep_seconds``, 0 disables)
-  re-runs TIMEOUT on every local actor as a belt-and-braces recheck —
-  not load-bearing since readiness became push-driven;
+* ``call_later`` — a one-shot TIMEOUT timer after a delay in round units.
+  With ``request_timeout`` and ``wake`` these are the only sources of
+  TIMEOUT: there is no periodic sweep over all local actors;
 * ``now`` — wall clock scaled to *round units* (one unit ≈ one nominal
   message delay, ``round_seconds``), so protocol constants expressed in
   rounds (retry cadences, grace periods) keep their meaning.
@@ -68,14 +68,12 @@ class NetRuntime:
         metrics: Metrics | None = None,
         round_seconds: float = 0.01,
         timeout_lag: float = 0.004,
-        sweep_seconds: float = 0.25,
         epoch: float = 0.0,
     ) -> None:
         self.send_remote = send_remote
         self.metrics = metrics or Metrics()
         self.round_seconds = round_seconds
         self.timeout_lag = timeout_lag
-        self.sweep_seconds = sweep_seconds
         # contract attribute; never consulted — wall-clock scheduling
         # over real sockets cannot be recorded or replayed
         self.schedule_hint = None
@@ -89,22 +87,16 @@ class NetRuntime:
         # start times skewed by the sequential wiring
         self._epoch = epoch or time.time()
         self._loop = None
-        self._sweep_handle = None
         self._closed = False
         self.on_actor_error: Callable[[int, BaseException], None] | None = None
 
     # -- lifecycle -----------------------------------------------------------
     def start(self, loop) -> None:
-        """Bind to the running event loop and start the safety sweep."""
+        """Bind to the running event loop."""
         self._loop = loop
-        if self.sweep_seconds:
-            self._sweep_handle = loop.call_later(self.sweep_seconds, self._sweep)
 
     def close(self) -> None:
         self._closed = True
-        if self._sweep_handle is not None:
-            self._sweep_handle.cancel()
-            self._sweep_handle = None
         self.actors.clear()
         self._timeout_pending.clear()
         self._forwards.clear()
@@ -114,10 +106,10 @@ class NetRuntime:
 
         Crash recovery rebuilds the whole shard from scratch (see
         ``repro.ops.recovery``): the old actors, their pending TIMEOUTs
-        and the forwarding table all belong to the dead epoch.  Loop
-        binding and the sweep survive — ``spawn_nodes`` repopulates
-        ``actors`` and the host kicks them.  Callbacks already scheduled
-        for removed actors no-op harmlessly (the actor lookup misses).
+        and the forwarding table all belong to the dead epoch.  The loop
+        binding survives — ``spawn_nodes`` repopulates ``actors`` and the
+        host kicks them.  Callbacks already scheduled for removed actors
+        no-op harmlessly (the actor lookup misses).
         """
         self.actors.clear()
         self._timeout_pending.clear()
@@ -247,13 +239,6 @@ class NetRuntime:
         actor = self.actors.get(actor_id)
         if actor is not None:
             self._guard(actor_id, actor.timeout)
-
-    def _sweep(self) -> None:
-        if self._closed:
-            return
-        for actor_id, actor in list(self.actors.items()):
-            self._guard(actor_id, actor.timeout)
-        self._sweep_handle = self._loop.call_later(self.sweep_seconds, self._sweep)
 
 
 class NetOpRecord(OpRecord):

@@ -86,6 +86,11 @@ __all__ = ["HostConfig", "NodeHost", "coalesce_frames", "install_uvloop"]
 #: its destination pid before it is declared undeliverable.
 _UNROUTED_GRACE = 10.0
 
+#: Seconds a retiring host stays up after its peer links drained, so
+#: peers that still address its departed vids can push those stragglers
+#: through its forwarding table before the process exits.
+_RETIRE_LINGER = 0.5
+
 
 @dataclass(slots=True)
 class HostConfig:
@@ -99,7 +104,6 @@ class HostConfig:
     port: int = 0  # 0: pick an ephemeral port, report via .port
     round_seconds: float = 0.01
     timeout_lag: float = 0.004
-    sweep_seconds: float = 0.25
     epoch: float = 0.0  # shared wall-clock origin for `now` (0: host start)
     # any registered structure name: "queue" (Skueue), "stack" (Skack),
     # "heap" (Skeap), ... — see repro.core.structures
@@ -172,7 +176,6 @@ class HostConfig:
             "port": self.port,
             "round_seconds": self.round_seconds,
             "timeout_lag": self.timeout_lag,
-            "sweep_seconds": self.sweep_seconds,
             "epoch": self.epoch,
             "structure": self.structure,
             "salt": self.salt,
@@ -511,7 +514,6 @@ class NodeHost:
             Metrics(),
             round_seconds=config.round_seconds,
             timeout_lag=config.timeout_lag,
-            sweep_seconds=config.sweep_seconds,
             epoch=config.epoch,
         )
         self.runtime.on_actor_error = self._actor_error
@@ -1373,7 +1375,6 @@ class NodeHost:
                     "seed": config.seed,
                     "round_seconds": config.round_seconds,
                     "timeout_lag": config.timeout_lag,
-                    "sweep_seconds": config.sweep_seconds,
                     "epoch": config.epoch,
                     "structure": config.structure,
                     "salt": config.salt,
@@ -1520,7 +1521,7 @@ class NodeHost:
             and time.monotonic() < deadline
         ):
             await asyncio.sleep(0.05)
-        await asyncio.sleep(2 * self.config.sweep_seconds)
+        await asyncio.sleep(_RETIRE_LINGER)
         self.stop()
 
     def _handle_retire(self, conn: _Connection, message: dict) -> None:

@@ -12,11 +12,6 @@ from repro.overlay.ldb import (
     virtual_label,
 )
 from repro.overlay.routing import route_on_topology, route_steps_for
-from repro.overlay.tree import (
-    children_local,
-    is_anchor_local,
-    parent_local,
-)
 
 __all__ = [
     "KIND_NAMES",
@@ -24,10 +19,7 @@ __all__ = [
     "MIDDLE",
     "RIGHT",
     "LdbTopology",
-    "children_local",
-    "is_anchor_local",
     "kind_of",
-    "parent_local",
     "pid_of",
     "route_on_topology",
     "route_steps_for",

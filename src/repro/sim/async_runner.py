@@ -28,7 +28,6 @@ __all__ = ["AsyncRunner"]
 
 _MSG = 0
 _TIMEOUT = 1
-_SWEEP = 9
 
 
 class AsyncRunner:
@@ -44,14 +43,11 @@ class AsyncRunner:
         metrics: Metrics | None = None,
         delay_policy: Callable | None = None,
         timeout_lag: float = 0.25,
-        safety_tick: float = 48.0,
     ) -> None:
         self.rng = rng or RngStreams(0)
         self.metrics = metrics or Metrics()
         self.delay_policy = delay_policy or UniformDelay(0.5, 1.5)
         self.timeout_lag = timeout_lag
-        # periodic whole-system TIMEOUT sweep (see SyncRunner.safety_tick)
-        self.safety_tick = safety_tick
         self.time = 0.0
         #: optional scheduling override (see repro.sim.process.ScheduleHint)
         self.schedule_hint = None
@@ -138,13 +134,6 @@ class AsyncRunner:
                     return True  # tree-up batch to a departed parent
                 actor = self.actors[self.resolve(dest)]
             actor.handle(action, payload)
-        elif kind == _SWEEP:
-            for actor in list(self.actors.values()):
-                actor.timeout()
-            heapq.heappush(
-                self._heap,
-                (self.time + self.safety_tick, next(self._seq), _SWEEP, 0, 0, ()),
-            )
         else:
             self._timeout_pending.discard(dest)
             actor = self.actors.get(dest)
@@ -181,11 +170,6 @@ class AsyncRunner:
         ids = actor_ids if actor_ids is not None else list(self.actors.keys())
         for actor_id in ids:
             self.request_timeout(actor_id)
-        if self.safety_tick:
-            heapq.heappush(
-                self._heap,
-                (self.time + self.safety_tick, next(self._seq), _SWEEP, 0, 0, ()),
-            )
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:

@@ -108,11 +108,10 @@ class Runtime(Protocol):
       readiness may depend on it, so no readiness condition has to wait
       for polling.  For an actor hosted elsewhere (sharded TCP) the
       engine ships an ``A_WAKE`` message and the receiver answers with
-      ``wake_me()``.  Engines may still run an optional safety sweep
-      (``safety_tick``/``sweep_seconds``) as a belt-and-braces recheck,
-      but since the wave engine became event-driven the sweep is *not*
-      load-bearing: ``safety_tick=0`` disables it and everything still
-      makes progress;
+      ``wake_me()``.  Apart from the initial ``kick``, these two and
+      ``call_later`` timers are the only sources of TIMEOUT: no engine
+      periodically re-runs TIMEOUT on every actor, so a readiness change
+      that nobody pushes is never noticed;
     * ``actors`` is the engine's **local** view: in the simulators it
       holds every actor, in a sharded TCP deployment only the shard
       hosted by this OS process.  Protocol code treats a missing entry

@@ -43,17 +43,10 @@ class SyncRunner:
         rng: RngStreams | None = None,
         metrics: Metrics | None = None,
         shuffle_delivery: bool = True,
-        safety_tick: float = 64,
     ) -> None:
         self.rng = rng or RngStreams(0)
         self.metrics = metrics or Metrics()
         self.shuffle_delivery = shuffle_delivery
-        # optional whole-system TIMEOUT sweep every this many rounds,
-        # 0 disables.  Readiness is pushed via ``wake``, so the sweep is
-        # a belt-and-braces recheck rather than the clock: the paper's
-        # per-round TIMEOUT semantics survive because an actor whose
-        # state did not change takes the same (no-op) branch anyway.
-        self.safety_tick = int(safety_tick)
         self.round = 0
         #: optional scheduling override (see repro.sim.process.ScheduleHint)
         self.schedule_hint = None
@@ -141,8 +134,6 @@ class SyncRunner:
         while timers and timers[0][0] <= self.round:
             _, actor_id = heapq.heappop(timers)
             self._timeout_now.add(actor_id)
-        if self.safety_tick and self.round % self.safety_tick == 0:
-            self._timeout_now.update(actors.keys())
         # sorted: int-set iteration order is an implementation detail of
         # the running interpreter, and TIMEOUT order decides how waves
         # batch — canonicalise it so a seeded run (and a recorded

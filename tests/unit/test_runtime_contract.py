@@ -60,7 +60,6 @@ def test_net_runtime_delivers_locally_and_ships_remotely():
     runtime = NetRuntime(
         send_remote=lambda dest, action, payload: shipped.append((dest, action)),
         timeout_lag=0.001,
-        sweep_seconds=0.02,
     )
 
     async def scenario():
@@ -74,8 +73,8 @@ def test_net_runtime_delivers_locally_and_ships_remotely():
         await asyncio.sleep(0.06)
         assert local.seen == [(42, ("x",))]
         assert shipped == [(99, 7)]
-        # one deduplicated explicit TIMEOUT + at least one safety sweep
-        assert 2 <= local.timeouts <= 4
+        # one deduplicated explicit TIMEOUT and nothing else
+        assert local.timeouts == 1
         runtime.close()
 
     asyncio.run(scenario())
@@ -87,22 +86,22 @@ class TestWakeDiscipline:
     The contract pinned here: ``wake(actor_id)`` schedules a TIMEOUT for
     the actor wherever it lives, follows forwarding addresses, draws no
     randomness (so waking a peer never perturbs a recorded schedule),
-    deduplicates with a pending ``request_timeout``, and works with the
-    safety sweep disabled — the sweep is not the clock.
+    deduplicates with a pending ``request_timeout``, and is the only
+    thing that re-checks an actor — no engine sweeps its actors.
     """
 
     def test_sync_wake_runs_timeout_next_round_without_sweep(self):
-        engine = SyncRunner(safety_tick=0)
+        engine = SyncRunner()
         actor = _Recorder(7, engine)
         engine.add_actor(actor)
         engine.wake(7)
         engine.step()
         assert actor.timeouts == 1
-        engine.step()  # no wake, no sweep: nothing re-checks the actor
+        engine.step()  # no wake: nothing re-checks the actor
         assert actor.timeouts == 1
 
     def test_sync_wake_follows_forwarding_and_draws_no_randomness(self):
-        engine = SyncRunner(safety_tick=0)
+        engine = SyncRunner()
         departed, absorber = _Recorder(3, engine), _Recorder(5, engine)
         engine.add_actor(departed)
         engine.add_actor(absorber)
@@ -115,7 +114,7 @@ class TestWakeDiscipline:
         assert departed.timeouts == 0
 
     def test_async_wake_deduplicates_and_draws_no_randomness(self):
-        engine = AsyncRunner(safety_tick=0)
+        engine = AsyncRunner()
         actor = _Recorder(4, engine)
         engine.add_actor(actor)
         state = engine._delay_rng.getstate()
@@ -147,7 +146,6 @@ class TestWakeDiscipline:
         runtime = NetRuntime(
             send_remote=lambda dest, action, payload: None,
             timeout_lag=0.001,
-            sweep_seconds=0,
         )
 
         async def scenario():

@@ -4,7 +4,7 @@ When a LEAVE splices a node out of the cycle mid-wave, the nodes that
 were (or just became) its aggregation parents cannot observe the change
 through their own state — the splice must *push* a re-check.  Three
 edges carry that push, and each must hold on every runtime (sync,
-async, net) with the safety sweep disabled, so the push is the only
+async, net); no engine sweeps its actors, so the push is the only
 clock:
 
 * ``A_SET_NEIGH`` (the splice rewires an integrated node): wakes both
@@ -70,7 +70,7 @@ def _run(engine, rounds=6):
 
 @pytest.fixture(params=[SyncRunner, AsyncRunner], ids=["sync", "async"])
 def engine(request):
-    eng = request.param(safety_tick=0)  # no sweep: pushes are the clock
+    eng = request.param()  # pushes are the only clock
     yield eng
     eng.close()
 
@@ -104,7 +104,7 @@ class TestSimEngines:
         """A departing RIGHT node's plausible wave parents are its
         predecessor and the same-process MIDDLE (the ``_parent_vid``
         fallback chain); both must be woken when the zombie leaves, or a
-        parent mid-wait only notices at a sweep that may never come."""
+        parent mid-wait never re-checks."""
         ctx = ClusterContext(engine, salt="t", route_steps=1)
         leaver_vid = 1 * 3 + RIGHT
         fallback_vid = 1 * 3 + MIDDLE
@@ -130,7 +130,6 @@ class TestNetRuntime:
         runtime = NetRuntime(
             send_remote=lambda dest, action, payload: None,
             timeout_lag=0.001,
-            sweep_seconds=0,
         )
 
         async def scenario():
