@@ -77,7 +77,7 @@ class TcpBackend:
                     f"asked for a {structure!r}"
                 )
             self.n_processes = info["n_processes"]
-            self.n_priorities = info.get("n_priorities", 4)
+            self.n_priorities = info["n_priorities"]
         except BaseException:
             self.close()
             raise
@@ -150,9 +150,6 @@ class TcpBackend:
     # -- history / lifecycle ----------------------------------------------------
     def history(self) -> list[OpRecord]:
         return self._call(self.client.collect_records())
-
-    def host_metrics(self) -> dict[int, dict]:
-        return self._call(self.client.host_metrics())
 
     def host_telemetry(self) -> dict[int, dict]:
         return self._call(self.client.host_telemetry())

@@ -236,7 +236,10 @@ class Session:
         cluster = getattr(self._backend, "cluster", None)
         if cluster is not None:
             return cluster.metrics.summary()
-        return self._backend.host_metrics()
+        return {
+            host: answer["summary"]
+            for host, answer in self._backend.host_telemetry().items()
+        }
 
     def telemetry(self) -> dict:
         """Full telemetry per host: the run-metrics summary plus the

@@ -17,18 +17,20 @@ Request-id space
 On the simulators a req_id is simply the record's index in the history
 list.  On a sharded TCP deployment req_ids are assigned client-side and
 must (a) encode the submitting host so any DHT node can route a
-completion back to the origin (``req_id % n_hosts``, see
+completion back to the origin (``req_id % id_slots``, see
 :class:`repro.net.runtime.RecordTable`) and (b) never collide across
 *concurrent* clients.  :func:`pack_req_id` therefore packs three fields
 into one int::
 
-    req_id = ((nonce << REQ_SEQ_BITS) | seq) * n_hosts + host
+    req_id = ((nonce << REQ_SEQ_BITS) | seq) * id_slots + host
 
 where ``nonce`` is a per-connection value the host assigns during the
-``hello``/``welcome`` handshake (unique per host), ``seq`` is the
-client's per-host submission counter, and ``host`` is the owning host
-index.  ``req_id % n_hosts == host`` holds by construction, so record
-routing is oblivious to how many clients exist.
+``hello``/``welcome`` handshake (unique per host, counting from 1),
+``seq`` is the client's per-host submission counter, and ``host`` is
+the owning host index.  ``id_slots`` is fixed when the deployment
+launches (default: its host count).  ``req_id % id_slots == host``
+holds by construction, so record routing is oblivious to how many
+clients exist.
 """
 
 from __future__ import annotations
@@ -108,11 +110,8 @@ _KIND_NAMES = {
 }
 
 
-def kind_name(kind: int, stack: bool = False, structure: str | None = None) -> str:
-    """Human name of an operation kind; ``structure`` wins over the
-    legacy ``stack`` flag."""
-    if structure is None:
-        structure = "stack" if stack else "queue"
+def kind_name(kind: int, structure: str = "queue") -> str:
+    """Human name of an operation kind in ``structure``."""
     return _KIND_NAMES.get(structure, _KIND_NAMES["queue"])[kind]
 
 

@@ -70,10 +70,10 @@ class SkueueClient:
     deployment.
 
     ``coalesce`` turns on submit coalescing: submissions issued in the
-    same event-loop tick (or within ``coalesce_window`` seconds, if
-    nonzero) to the same host are flushed as a single ``submit_batch``
-    frame with one buffered socket write.  Order per host is the
-    buffer's append order, so per-client submission order is preserved.
+    same event-loop tick to the same host are flushed as a single
+    ``submit_batch`` frame with one buffered socket write.  Order per
+    host is the buffer's append order, so per-client submission order
+    is preserved.
 
     ``trace_sample`` turns on client-side trace sampling: each req_id
     that wins the deterministic draw (see
@@ -95,7 +95,6 @@ class SkueueClient:
         *,
         codec: str = "auto",
         coalesce: bool = True,
-        coalesce_window: float = 0.0,
         trace_sample: float = 0.0,
     ) -> None:
         self.host_map = {int(k): (v[0], int(v[1])) for k, v in host_map.items()}
@@ -106,13 +105,11 @@ class SkueueClient:
         else:
             raise ValueError(f"unknown wire codec {codec!r}")
         self.coalesce = bool(coalesce)
-        self.coalesce_window = coalesce_window
         self.trace_sample = float(trace_sample)
         self._send_codecs: dict[int, str] = {}  # host -> negotiated codec
         self._submit_buf: dict[int, list[tuple]] = {}  # host -> queued subs
         self._flush_tasks: dict[int, asyncio.Task] = {}
-        self.n_hosts = len(self.host_map)
-        self.id_slots = self.n_hosts  # refined by the welcome handshake
+        self.id_slots = len(self.host_map)  # the cluster map's, once connected
         self.cluster: ClusterMap | None = None
         self._writers: dict[int, asyncio.StreamWriter] = {}
         self._readers: dict[int, asyncio.Task] = {}
@@ -140,9 +137,11 @@ class SkueueClient:
 
         ``timeout`` bounds each connection attempt and the whole
         handshake.  On any failure everything opened so far is closed
-        before the exception propagates.  The given host_map only needs
-        to *reach* the deployment: the authoritative member list comes
-        back in the ``welcome`` (the cluster map), and connections are
+        before the exception propagates; a host that is not wired yet
+        (its ``welcome`` carries no cluster map) fails the connect with
+        :class:`ConnectionError`.  The given host_map only needs to
+        *reach* the deployment: the authoritative member list comes back
+        in the ``welcome`` (the cluster map), and connections are
         reconciled against it.
         """
         try:
@@ -156,32 +155,22 @@ class SkueueClient:
             first = welcomes[0]
             self.deployment_info = {
                 key: first[key]
-                for key in ("n_hosts", "n_processes", "structure")
+                for key in ("n_hosts", "n_processes", "structure",
+                            "n_priorities")
             }
-            # legacy hosts predate the heap: default the class count
-            self.deployment_info["n_priorities"] = first.get("n_priorities", 4)
-            self.id_slots = first.get("id_slots", self.n_hosts)
             # adopt the deployment's advertised sampling rate unless the
             # caller pinned one: launch_local(trace_sample=...) then
             # traces every client's submissions at that rate for free
             if self.trace_sample == 0.0:
-                self.trace_sample = float(first.get("trace_sample", 0.0))
-            if "map" in first:
-                self._apply_map_json(first["map"], force=True)
-                # reconcile against the authoritative member list
-                for index in list(self.cluster.hosts):
-                    await asyncio.wait_for(self._ensure_host(index), timeout)
-                for index in [
-                    i for i in self._writers if i not in self.cluster.hosts
-                ]:
-                    self._drop_host(index)
-            elif self.deployment_info["n_hosts"] != self.n_hosts:
-                # legacy host without a cluster map: a partial host_map
-                # would mis-shard every submission; fail fast
-                raise ValueError(
-                    f"host_map names {self.n_hosts} hosts but the "
-                    f"deployment has {self.deployment_info['n_hosts']}"
-                )
+                self.trace_sample = float(first["trace_sample"])
+            self._apply_map_json(first["map"], force=True)
+            # reconcile against the authoritative member list
+            for index in list(self.cluster.hosts):
+                await asyncio.wait_for(self._ensure_host(index), timeout)
+            for index in [
+                i for i in self._writers if i not in self.cluster.hosts
+            ]:
+                self._drop_host(index)
         except BaseException:
             await self.close()
             raise
@@ -211,7 +200,7 @@ class SkueueClient:
                 ) from exc
         finally:
             self._welcome_futures.pop(index, None)
-        if welcome.get("host", index) != index:
+        if welcome["host"] != index:
             # a permuted/stale host_map would mis-shard every submission
             # keyed by this index: fail fast instead of looping rejections
             self._drop_host(index)
@@ -219,8 +208,14 @@ class SkueueClient:
                 f"host_map names host {index} at {address}, but host "
                 f"{welcome['host']} answered"
             )
+        if "map" not in welcome:
+            self._drop_host(index)
+            raise ConnectionError(
+                f"host {index} at {address} is not wired yet "
+                "(its welcome carries no cluster map)"
+            )
         self._nonces[index] = welcome["nonce"]
-        chosen = welcome.get("codec", CODEC_JSON)
+        chosen = welcome["codec"]
         self._send_codecs[index] = (
             chosen if chosen in self._offered else CODEC_JSON
         )
@@ -234,13 +229,9 @@ class SkueueClient:
         async with lock:
             if index in self._nonces and index in self._writers:
                 return
-            if self.cluster is not None and index in self.cluster.hosts:
-                address = self.cluster.hosts[index]
-            else:
-                address = self.host_map[index]
-            welcome = await self._open_host(index, address)
-            if "map" in welcome:
-                self._apply_map_json(welcome["map"])
+            # every applied map refreshes host_map with its addresses
+            welcome = await self._open_host(index, self.host_map[index])
+            self._apply_map_json(welcome["map"])
 
     def _fail_welcome(self, index: int) -> None:
         future = self._welcome_futures.pop(index, None)
@@ -300,25 +291,20 @@ class SkueueClient:
             return
         self.cluster = incoming
         self.id_slots = incoming.id_slots
-        self.n_hosts = len(incoming.hosts)
         self.host_map.update(incoming.hosts)
         for index in [i for i in self._writers if i not in incoming.hosts]:
             self._drop_host(index)
 
     def live_pids(self) -> list[int]:
         """Pids currently accepting submissions (drain-aware)."""
-        if self.cluster is not None:
-            return self.cluster.live_pids()
-        return list(range(self.deployment_info.get("n_processes", 0)))
+        return self.cluster.live_pids()
 
     # -- submitting operations -----------------------------------------------
     def host_for(self, pid: int) -> int:
-        if self.cluster is not None:
-            owner = self.cluster.owner_of(pid)
-            if owner is None:
-                raise KeyError(f"pid {pid} is not in the cluster map")
-            return owner
-        return pid % self.n_hosts
+        owner = self.cluster.owner_of(pid)
+        if owner is None:
+            raise KeyError(f"pid {pid} is not in the cluster map")
+        return owner
 
     async def enqueue(self, pid: int, item: object = None) -> int:
         """Issue ENQUEUE(item) at process ``pid``; returns the req_id."""
@@ -340,7 +326,7 @@ class SkueueClient:
     def _next_req_id(self, host: int) -> int:
         seq = self._counters.get(host, 0)
         self._counters[host] = seq + 1
-        return pack_req_id(self._nonces.get(host, 0), seq, host, self.id_slots)
+        return pack_req_id(self._nonces[host], seq, host, self.id_slots)
 
     def _check_priority(self, kind: int, priority: int) -> None:
         from repro.core.structures import check_priority
@@ -361,8 +347,8 @@ class SkueueClient:
         Without coalescing the frame is written immediately (one frame
         per submit, the seed path).  With coalescing it joins the host's
         submit buffer; the first entry schedules a flush for the next
-        loop tick (or ``coalesce_window`` seconds out), so every
-        submission staged meanwhile rides the same ``submit_batch``.
+        loop tick, so every submission staged meanwhile rides the same
+        ``submit_batch``.
         """
         host = self.host_for(pid)
         req_id = self._next_req_id(host)
@@ -395,8 +381,7 @@ class SkueueClient:
     async def _flush_later(self, host: int) -> None:
         # sleep(0) = "the next loop tick": everything submitted in the
         # current tick batches, idle submitters pay zero added latency
-        await asyncio.sleep(self.coalesce_window if self.coalesce_window > 0
-                            else 0)
+        await asyncio.sleep(0)
         if self._flush_tasks.get(host) is asyncio.current_task():
             await self._flush_submits(host)
 
@@ -617,9 +602,8 @@ class SkueueClient:
         """
         loop = asyncio.get_running_loop()
         await self._flush_all()
-        if self.cluster is not None:
-            for index in list(self.cluster.hosts):
-                await self._ensure_host(index)
+        for index in list(self.cluster.hosts):
+            await self._ensure_host(index)
         for index, writer in self._writers.items():
             self._collect_futures[index] = loop.create_future()
             self._write(index, {"op": "collect"})
@@ -660,26 +644,12 @@ class SkueueClient:
                 raise TimeoutError(f"no host_map answer within {timeout}s")
             await asyncio.sleep(0.02)
 
-    async def host_metrics(self, timeout: float | None = 30.0) -> dict[int, dict]:
-        """Per-host metrics summaries."""
-        loop = asyncio.get_running_loop()
-        for index, writer in self._writers.items():
-            self._metrics_futures[index] = loop.create_future()
-            self._write(index, {"op": "metrics"})
-            await writer.drain()
-        replies = await asyncio.wait_for(
-            asyncio.gather(*self._metrics_futures.values()), timeout
-        )
-        self._metrics_futures.clear()
-        return {reply["host"]: reply["summary"] for reply in replies}
-
     async def host_telemetry(
         self, timeout: float | None = 30.0
     ) -> dict[int, dict]:
         """Per-host full telemetry answers: ``summary`` (run metrics),
         ``phases`` (per-op trace phase histograms) and ``registry`` (the
-        host's metric registry snapshot).  Hosts predating the telemetry
-        plane answer with ``summary`` only."""
+        host's metric registry snapshot)."""
         loop = asyncio.get_running_loop()
         for index, writer in self._writers.items():
             self._metrics_futures[index] = loop.create_future()
@@ -691,9 +661,7 @@ class SkueueClient:
         self._metrics_futures.clear()
         return {
             reply["host"]: {
-                "summary": reply.get("summary", {}),
-                "phases": reply.get("phases", {}),
-                "registry": reply.get("registry", {}),
+                key: reply[key] for key in ("summary", "phases", "registry")
             }
             for reply in replies
         }

@@ -4,11 +4,11 @@
 :class:`~repro.net.server.NodeHost` OS processes (``python -m
 repro.net.launcher serve``), learns each one's ephemeral port from its
 ``SKUEUE-READY`` line (hosts always bind port 0 unless told otherwise,
-so parallel deployments never collide), sends every host the full peer
-map and the genesis cluster map (the ``wire`` frame — on receipt a host
-spawns its shard of the LDB and kicks the pipeline), and returns a
-:class:`NetDeployment` handle whose ``close()`` / context-manager exit
-shuts everything down deterministically.
+so parallel deployments never collide), sends every host the genesis
+cluster map, which names every host's address (the ``wire`` frame — on
+receipt a host spawns its shard of the LDB and kicks the pipeline), and
+returns a :class:`NetDeployment` handle whose ``close()`` /
+context-manager exit shuts everything down deterministically.
 
 Deployments are **elastic**: :meth:`NetDeployment.add_host` spawns a
 new host that joins the live overlay (``skueue-node join``) and
@@ -344,9 +344,9 @@ def launch_local(
     ``benchmarks/bench_load.py``).
 
     ``id_slots`` fixes the req_id origin-residue modulus, which caps how
-    many host indices the deployment can ever hand out; the default
-    (``n_hosts``) reproduces the static id scheme bit for bit, so pass
-    something larger (e.g. 16) when hosts will join at runtime.
+    many host indices the deployment can ever hand out; the default is
+    ``n_hosts``, so pass something larger (e.g. 16) when hosts will join
+    at runtime.
 
     ``round_seconds`` is the wall-clock length of one protocol round and
     ``timeout_lag`` the delay, in seconds, between a wake and the
@@ -418,11 +418,10 @@ def launch_local(
         if len(host_map) != n_hosts:
             raise RuntimeError(f"only {len(host_map)}/{n_hosts} hosts became ready")
         genesis = ClusterMap.genesis(host_map, n_processes, id_slots)
-        peers = {str(i): list(addr) for i, addr in host_map.items()}
         for index, address in host_map.items():
             reply = _sync_request(
                 address,
-                {"op": "wire", "peers": peers, "map": genesis.to_json()},
+                {"op": "wire", "map": genesis.to_json()},
                 "wired",
                 timeout=10.0,
             )

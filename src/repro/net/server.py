@@ -39,7 +39,7 @@ import random
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.core.actions import A_GET_REPLY, A_JOIN_RT, A_RT_GET, A_RT_PUT
 from repro.core.cluster import spawn_nodes
@@ -92,9 +92,21 @@ _UNROUTED_GRACE = 10.0
 _RETIRE_LINGER = 0.5
 
 
+#: Completion replicas each host mirrors to its ring successors.
+_REPLICAS = 2
+
+#: ``HostConfig`` keys that differ per host; ``join_ok`` sends the rest.
+_PER_HOST_KEYS = ("host_index", "bind_host", "port", "owned", "ops_port")
+
+
 @dataclass(slots=True)
 class HostConfig:
-    """Everything one host needs to boot (identical topology view)."""
+    """Everything one host needs to boot (identical topology view).
+
+    The field list below is the whole wire form: :meth:`to_json` carries
+    it to a spawned host, and ``join_ok`` hands a joining host every
+    field but the per-host ones (:meth:`shared_json`).
+    """
 
     host_index: int
     n_hosts: int
@@ -108,33 +120,20 @@ class HostConfig:
     # any registered structure name: "queue" (Skueue), "stack" (Skack),
     # "heap" (Skeap), ... — see repro.core.structures
     structure: str = "queue"
-    salt: str = field(default="")
-    # fixed req_id origin-residue modulus; 0 means n_hosts (static legacy)
+    # fixed req_id origin-residue modulus (0: n_hosts)
     id_slots: int = 0
     # Skeap priority class count (ignored by queue/stack deployments)
     n_priorities: int = 4
     # explicit pid set for hosts joining a live deployment (None: genesis
     # round-robin shard over range(n_processes))
     owned: list[int] | None = None
-    # -- crash-stop fault tolerance + ops plane (defaults keep old JSON
-    #    configs loading unchanged) ------------------------------------------
     # HTTP ops listener port (0: ephemeral, advertised in `pong` frames)
     ops_port: int = 0
-    # liveness beacon period on every peer link
-    heartbeat_seconds: float = 0.25
-    # consecutive silent heartbeat windows before a peer is suspected
-    miss_threshold: int = 4
-    # uncorroborated suspicion age that still justifies eviction
-    confirm_seconds: float = 1.5
-    # completion replicas mirrored to this many ring successors
-    replication: int = 2
-    # -- TCP hot path (PR 8) --------------------------------------------------
     # wire codec this host *sends* (receiving is always codec-agnostic:
     # frames are self-describing); "json" keeps the wire debuggable
     codec: str = "binary"
     # batch outbox/peer frames into single buffered socket writes
     coalesce: bool = True
-    # -- telemetry plane (PR 9) ----------------------------------------------
     # per-op trace sampling rate in [0, 1]; 0 keeps span collection off
     # (wire-tagged requests from sampling clients still open spans)
     trace_sample: float = 0.0
@@ -147,10 +146,13 @@ class HostConfig:
             raise ValueError(
                 f"unknown wire codec {self.codec!r}; pick one of {WIRE_CODECS}"
             )
-        if not self.salt:
-            self.salt = f"skueue-{self.seed}"
         if not self.id_slots:
             self.id_slots = self.n_hosts
+
+    @property
+    def salt(self) -> str:
+        """Hash salt every host derives from the shared seed."""
+        return f"skueue-{self.seed}"
 
     @property
     def owned_pids(self) -> list[int]:
@@ -167,31 +169,14 @@ class HostConfig:
         return pid % self.n_hosts
 
     def to_json(self) -> dict:
-        return {
-            "host_index": self.host_index,
-            "n_hosts": self.n_hosts,
-            "n_processes": self.n_processes,
-            "seed": self.seed,
-            "bind_host": self.bind_host,
-            "port": self.port,
-            "round_seconds": self.round_seconds,
-            "timeout_lag": self.timeout_lag,
-            "epoch": self.epoch,
-            "structure": self.structure,
-            "salt": self.salt,
-            "id_slots": self.id_slots,
-            "n_priorities": self.n_priorities,
-            "owned": self.owned,
-            "ops_port": self.ops_port,
-            "heartbeat_seconds": self.heartbeat_seconds,
-            "miss_threshold": self.miss_threshold,
-            "confirm_seconds": self.confirm_seconds,
-            "replication": self.replication,
-            "codec": self.codec,
-            "coalesce": self.coalesce,
-            "trace_sample": self.trace_sample,
-            "trace_slow_ms": self.trace_slow_ms,
-        }
+        return asdict(self)
+
+    def shared_json(self) -> dict:
+        """The deployment-wide fields: what a joining host inherits."""
+        data = self.to_json()
+        for key in _PER_HOST_KEYS:
+            del data[key]
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "HostConfig":
@@ -531,8 +516,7 @@ class NodeHost:
         self.errors: list[str] = []
         self._op_counts: dict[int, int] = {}
         self._submitters: dict[int, _Connection] = {}
-        # client nonces start at 1: nonce 0 is the legacy single-client
-        # id space (`req_id = seq * id_slots + host`), kept collision-free
+        # per-connection client nonces, handed out from 1
         self._next_nonce = 1
         self._stopped: asyncio.Event | None = None
         # peer frames racing our own `wire` frame (a peer that was wired
@@ -567,11 +551,7 @@ class NodeHost:
         self._last_epoch = 0
         self._pushed_epoch = 0
         # -- crash-stop fault tolerance (see DESIGN.md) ----------------------
-        self.detector = FailureDetector(
-            heartbeat_seconds=config.heartbeat_seconds,
-            miss_threshold=config.miss_threshold,
-            confirm_seconds=config.confirm_seconds,
-        )
+        self.detector = FailureDetector()
         self._heartbeat_task: asyncio.Task | None = None
         # recovery state machine: True between an eviction and the rebuild
         self._recovering = False
@@ -759,17 +739,11 @@ class NodeHost:
         self.connections.discard(conn)
 
     # -- bootstrap (the `wire` frame) ----------------------------------------
-    def _wire(self, peers: dict[int, tuple[str, int]], map_json: dict | None) -> None:
+    def _wire(self, map_json: dict) -> None:
         config = self.config
-        if map_json is not None:
-            incoming = ClusterMap.from_json(map_json)
-            if self.cluster is None or incoming.version > self.cluster.version:
-                self.cluster = incoming
-        elif self.cluster is None:
-            # legacy wire frame without a map: synthesise the genesis view
-            self.cluster = ClusterMap.genesis(
-                dict(peers), config.n_processes, config.id_slots
-            )
+        incoming = ClusterMap.from_json(map_json)
+        if self.cluster is None or incoming.version > self.cluster.version:
+            self.cluster = incoming
         self._sync_peer_links()
         if self.wired:
             return
@@ -879,7 +853,7 @@ class NodeHost:
     def _redispatch_peer_frame(self, message: dict) -> None:
         if self._recovering:
             # the link died because its host was crash-evicted: everything
-            # queued for it predates the rebuild and is superseded by it
+            # queued for it was sent before the rebuild, which supersedes it
             return
         op = message.get("op")
         if op == "msg":
@@ -1070,8 +1044,9 @@ class NodeHost:
 
     @staticmethod
     def _complete_fields(message: dict) -> dict:
-        """Decode a `complete` frame's sync fields.  A bare legacy frame
-        (no value/done keys) means "done"; rich frames say so explicitly."""
+        """Decode a `complete` frame's sync fields (inverse of
+        :meth:`_complete_frame`); only a frame carrying ``done`` marks
+        the record done."""
         fields: dict = {}
         if "value" in message:
             fields["value"] = message["value"]
@@ -1079,7 +1054,7 @@ class NodeHost:
             fields["result"] = decode_payload(message["result"])
         if message.get("local_match"):
             fields["local_match"] = True
-        if message.get("done", "value" not in message):
+        if message.get("done"):
             fields["done"] = True
         return fields
 
@@ -1187,8 +1162,7 @@ class NodeHost:
                 nonce = self._next_nonce
                 self._next_nonce += 1
                 # codec negotiation: prefer this host's configured send
-                # codec when the client offered it; JSON otherwise (old
-                # clients send no `codecs` list and keep working)
+                # codec when the client offered it; JSON otherwise
                 conn.codec = negotiate_codec(
                     message.get("codecs"), self.config.codec
                 )
@@ -1211,10 +1185,7 @@ class NodeHost:
                     reply["map"] = self.cluster.to_json()
                 conn.send(reply)
             elif op == "wire":
-                self._wire(
-                    {int(k): v for k, v in message["peers"].items()},
-                    message.get("map"),
-                )
+                self._wire(message["map"])
                 conn.send({"op": "wired", "host": self.config.host_index})
             elif op == "host_map":
                 incoming = ClusterMap.from_json(message["map"])
@@ -1363,32 +1334,12 @@ class NodeHost:
             conn.send({"op": "error", "message": str(exc)})
             return
         self._join_reservations[host_index] = pids
-        config = self.config
         conn.send(
             {
                 "op": "join_ok",
                 "host": host_index,
                 "pids": pids,
-                "config": {
-                    "n_hosts": config.n_hosts,
-                    "n_processes": config.n_processes,
-                    "seed": config.seed,
-                    "round_seconds": config.round_seconds,
-                    "timeout_lag": config.timeout_lag,
-                    "epoch": config.epoch,
-                    "structure": config.structure,
-                    "salt": config.salt,
-                    "id_slots": config.id_slots,
-                    "n_priorities": config.n_priorities,
-                    "heartbeat_seconds": config.heartbeat_seconds,
-                    "miss_threshold": config.miss_threshold,
-                    "confirm_seconds": config.confirm_seconds,
-                    "replication": config.replication,
-                    "codec": config.codec,
-                    "coalesce": config.coalesce,
-                    "trace_sample": config.trace_sample,
-                    "trace_slow_ms": config.trace_slow_ms,
-                },
+                "config": self.config.shared_json(),
                 "map": self.cluster.to_json(),
             }
         )
@@ -1686,9 +1637,7 @@ class NodeHost:
         if self.cluster is None:
             self._replica_targets = []
             return
-        targets = self.cluster.successors_of(
-            self.config.host_index, self.config.replication
-        )
+        targets = self.cluster.successors_of(self.config.host_index, _REPLICAS)
         if targets != self._replica_targets:
             self._replica_targets = targets
             self._resync_replicas()
@@ -1766,7 +1715,7 @@ class NodeHost:
         (silence there would breed false suspicions right after the
         rebuild); only the eviction logic pauses."""
         while not self._stopping:
-            await asyncio.sleep(self.config.heartbeat_seconds)
+            await asyncio.sleep(self.detector.heartbeat_seconds)
             if self.cluster is None:
                 continue
             frame = {"op": "heartbeat", "host": self.config.host_index}
@@ -1987,7 +1936,7 @@ class NodeHost:
         # successors under the new map; the snapshot resync happens below,
         # *after* the merged facts land, so it mirrors the rebuilt truth
         self._replica_targets = self.cluster.successors_of(
-            config.host_index, config.replication
+            config.host_index, _REPLICAS
         )
         # respawn the shard over the surviving pid set
         merged = [record_from_wire(data) for data in message["records"]]
@@ -2208,8 +2157,8 @@ async def run_joining_host(
 
     The join choreography (frames catalogued in docs/PROTOCOL.md):
 
-    1. ``hello`` to any live host — the ``welcome`` carries the cluster
-       map, which names the coordinator;
+    1. ``map`` to any live host — the ``host_map`` answer names the
+       coordinator;
     2. ``join`` to the coordinator — it reserves our host_index and a
        batch of fresh pids and returns the deployment config;
     3. bind and announce (READY line), so the operator learns our port;
@@ -2218,12 +2167,8 @@ async def run_joining_host(
        virtual nodes, which integrate through the paper's Section-IV
        machinery while clients keep submitting.
     """
-    welcome = await _async_request(seed_address, {"op": "hello"}, "welcome")
-    if "map" not in welcome:
-        raise RuntimeError(
-            "seed host predates live membership (no cluster map in welcome)"
-        )
-    seed_map = ClusterMap.from_json(welcome["map"])
+    answer = await _async_request(seed_address, {"op": "map"}, "host_map")
+    seed_map = ClusterMap.from_json(answer["map"])
     coordinator_address = seed_map.hosts[seed_map.coordinator]
     reply = await _async_request(
         coordinator_address, {"op": "join", "pids": n_pids}, "join_ok"

@@ -3,9 +3,8 @@
 Every frame is **self-describing**: a 4-byte header whose first byte
 names the codec that serialised the body (:data:`CODEC_TAGS`) and whose
 remaining 3 bytes are the big-endian body length.  Codec tag ``0x00`` is
-UTF-8 JSON — bit-for-bit the legacy header, since JSON bodies were
-always shorter than 2^24 — and ``0x01`` is the compact struct-packed
-binary codec below.  Receivers therefore decode *any* mix of codecs on
+UTF-8 JSON and ``0x01`` is the compact struct-packed binary codec
+below.  Receivers therefore decode *any* mix of codecs on
 one connection; the ``hello``/``welcome`` negotiation (see
 docs/PROTOCOL.md) only selects what each side *sends*, which is what
 keeps mixed-codec deployments working.  Frames above

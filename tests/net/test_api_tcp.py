@@ -59,6 +59,10 @@ def test_batch_pipelining_and_fifo_per_pid_over_tcp():
         queue.drain()
         assert [h.result() for h in handles[n:]] == [f"x{i}" for i in range(n)]
         queue.verify()
+        # one run-metrics summary per host, keyed by host index
+        metrics = queue.metrics()
+        assert sorted(metrics) == [0, 1]
+        assert all("per_kind" in summary for summary in metrics.values())
 
 
 def test_handles_awaitable_from_callers_event_loop():

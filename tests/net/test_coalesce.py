@@ -114,6 +114,7 @@ def fake_client(monkeypatch):
     writer = FakeWriter()
     client._writers[0] = writer
     client._send_codecs[0] = CODEC_BINARY
+    client._nonces[0] = 1
     client.host_for = lambda pid: 0
 
     async def _noop(host):
@@ -149,12 +150,11 @@ class TestClientSubmitCoalescing:
 
     def test_timer_partial_flush_never_reorders(self, fake_client):
         client, writer = fake_client
-        client.coalesce_window = 0.02
 
         async def run():
             first = [client._queue_submit(pid, INSERT, pid)
                      for pid in range(3)]
-            await asyncio.sleep(0.1)  # timer fires: partial flush
+            await asyncio.sleep(0.1)  # next-tick flush fires: partial flush
             second = [client._queue_submit(pid, REMOVE, None)
                       for pid in range(2)]
             await asyncio.sleep(0.1)

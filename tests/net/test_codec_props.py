@@ -51,8 +51,7 @@ def _record_wire(req_id: int = 17, *, result: object = BOTTOM) -> dict:
 #: frames the runtime actually builds (see server.py / client.py)
 SAMPLE_FRAMES: dict[str, dict] = {
     # bootstrap / control plane
-    "wire": {"op": "wire", "peers": {"0": ["127.0.0.1", 9001]},
-             "map": {"version": 1, "hosts": {"0": [0, 1]}}},
+    "wire": {"op": "wire", "map": {"version": 1, "hosts": {"0": [0, 1]}}},
     "wired": {"op": "wired", "host": 0},
     "ping": {"op": "ping"},
     "pong": {"op": "pong", "host": 1, "wired": True, "joining": False,
@@ -205,7 +204,7 @@ class TestTraceFieldParity:
 
     @pytest.mark.parametrize("op", HOT)
     @pytest.mark.parametrize("codec", sorted(WIRE_CODECS))
-    def test_legacy_frames_without_tr_still_decode(self, op, codec):
+    def test_untagged_frames_decode(self, op, codec):
         # the exact bytes a pre-telemetry peer sends: no tr key at all
         frame = SAMPLE_FRAMES[op]
         assert "tr" not in frame

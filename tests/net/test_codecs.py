@@ -94,7 +94,7 @@ def test_same_workload_verifies_on_every_wire(structure, wire):
     _CHECKERS[structure](records)
 
 
-def test_legacy_hello_without_codec_offer_gets_json():
+def test_hello_without_codec_offer_gets_json():
     # a pre-negotiation client sends a bare hello; a binary-preferring
     # host must still answer JSON-framed and pick JSON for the session
     async def scenario(deployment):

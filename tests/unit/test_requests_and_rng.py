@@ -43,8 +43,8 @@ class TestOpRecord:
     def test_kind_names(self):
         assert kind_name(INSERT) == "enqueue"
         assert kind_name(REMOVE) == "dequeue"
-        assert kind_name(INSERT, stack=True) == "push"
-        assert kind_name(REMOVE, stack=True) == "pop"
+        assert kind_name(INSERT, structure="stack") == "push"
+        assert kind_name(REMOVE, structure="stack") == "pop"
 
 
 class TestReqIdPacking:
@@ -61,10 +61,6 @@ class TestReqIdPacking:
         for nonce in (0, 3, 999):
             for seq in (0, 17):
                 assert pack_req_id(nonce, seq, 2, 3) % 3 == 2
-
-    def test_legacy_nonce_zero_matches_old_scheme(self):
-        # pre-handshake clients computed req_id = seq * n_hosts + host
-        assert pack_req_id(0, 5, 1, 2) == 5 * 2 + 1
 
     def test_distinct_nonces_never_collide(self):
         n_hosts = 2
